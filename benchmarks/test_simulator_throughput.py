@@ -26,6 +26,9 @@ from repro.uarch.run import run_standalone
 def test_standalone_throughput(benchmark, capsys):
     trace = generate_trace(workload_profile("gcc"), 20_000, seed=11)
     result = run_once(benchmark, run_standalone, core_config("gcc"), trace)
+    benchmark.extra_info["instrs_per_sec"] = (
+        len(trace) / benchmark.stats.stats.min
+    )
     with capsys.disabled():
         print(f"\nstandalone: {result.cycles} cycles simulated")
 
@@ -36,6 +39,9 @@ def test_contest_throughput(benchmark, capsys):
     trace = generate_trace(workload_profile("gcc"), 20_000, seed=11)
     result = run_once(
         benchmark, run_contest, core_config("gcc"), core_config("vpr"), trace
+    )
+    benchmark.extra_info["instrs_per_sec"] = (
+        len(trace) / benchmark.stats.stats.min
     )
     with capsys.disabled():
         print(f"\ncontest: finished at {result.time_ps} ps, "

@@ -34,7 +34,7 @@ round-robin co-simulation without simulating idle base units.
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence, Union
 
 from repro.faults import FaultPlan, XFER_CORRUPT, XFER_DELAY, XFER_DROP, XFER_OK
 from repro.isa.instructions import OpClass
@@ -304,7 +304,6 @@ class ContestingSystem:
             [c.core_id for c in self.cores], store_queue_capacity
         )
 
-        self._instrs = trace.instructions
         decoded = trace.decoded()
         self._ops = decoded.ops
         self.skip_ahead = skip_ahead
@@ -353,10 +352,16 @@ class ContestingSystem:
         counter) and discards it, except that branch results are offered for
         early misprediction resolution (Figure 5).  Also detects saturated
         laggers.
+
+        Sets ``core.drain_due_ps`` to the earliest head arrival (0 while
+        over the lagging distance): before then a call changes nothing, so
+        ``Core.step`` skips it.  Pops cannot make it due earlier; pushes
+        can, and ``on_retire`` lowers it then.
         """
         fetch_index = core.fetch_index
-        instrs = self._instrs
+        ops = self._ops
         worst = 0
+        due = NO_EVENT
         for fifo in self.fifos[core.core_id]:
             arrivals = fifo.arrivals
             while (
@@ -370,14 +375,15 @@ class ContestingSystem:
                 fifo.popped_late += 1
                 if fifo.faulted is not None and fifo.faulted.pop(seq, 0):
                     continue  # payload lost/garbled in flight: discard
-                if (
-                    self.early_branch_resolution
-                    and instrs[seq].op == _OP_BRANCH
-                ):
+                if self.early_branch_resolution and ops[seq] == _OP_BRANCH:
                     core.early_resolve_branch(seq)
-            if fifo.occupancy > worst:
-                worst = fifo.occupancy
+            if arrivals:
+                if arrivals[0] < due:
+                    due = arrivals[0]
+                if len(arrivals) > worst:
+                    worst = len(arrivals)
         if worst > self.max_lag:
+            due = 0
             since = self._over_since[core.core_id]
             if since is None:
                 self._over_since[core.core_id] = now_ps
@@ -385,6 +391,7 @@ class ContestingSystem:
                 self._saturate(core)
         else:
             self._over_since[core.core_id] = None
+        core.drain_due_ps = due
 
     def pop_for_fetch(self, core: Core, seq: int, now_ps: int) -> bool:
         """Scenario-2 check at fetch: pop a result pairing with ``seq``.
@@ -420,34 +427,21 @@ class ContestingSystem:
         """Broadcast a retired instruction on ``core``'s GRB."""
         arrival = now_ps + self.latency_ps
         sender = core.core_id
+        max_lag = self.max_lag
         xfer_faults = self._xfer_faults
         tracer = self.tracer
-        if xfer_faults is None:
-            for receiver in self._active:
-                if receiver is core or not receiver.contesting_enabled:
-                    continue
-                fifo = self._fifo_index[receiver.core_id][sender]
-                fifo.push(arrival)
-                if tracer is not None:
-                    tracer.grb_transfer(
-                        now_ps, sender, receiver.core_id, seq,
-                        len(fifo.arrivals),
-                    )
-        else:
-            stats = self.fault_stats
-            for receiver in self._active:
-                if receiver is core or not receiver.contesting_enabled:
-                    continue
-                fifo = self._fifo_index[receiver.core_id][sender]
-                flag = xfer_faults.transfer_fault(
-                    sender, receiver.core_id, seq
-                )
-                if flag == XFER_OK:
-                    fifo.push(arrival)
-                elif flag == XFER_DELAY:
-                    stats.delayed += 1
-                    fifo.push(arrival + self._fault_delay_ps)
-                else:
+        for receiver in self._active:
+            if receiver is core or not receiver.contesting_enabled:
+                continue
+            fifo = self._fifo_index[receiver.core_id][sender]
+            pushed = arrival
+            flag = XFER_OK
+            if xfer_faults is not None:
+                flag = xfer_faults.transfer_fault(sender, receiver.core_id, seq)
+                if flag == XFER_DELAY:
+                    self.fault_stats.delayed += 1
+                    pushed = arrival + self._fault_delay_ps
+                elif flag != XFER_OK:
                     # the entry still occupies its FIFO slot (sequence
                     # numbering is implicit), but its payload is marked
                     # lost (DROP) or garbled (CORRUPT) for the pop paths
@@ -455,15 +449,21 @@ class ContestingSystem:
                         fifo.faulted = {}
                     fifo.faulted[seq] = flag
                     if flag == XFER_DROP:
-                        stats.dropped += 1
+                        self.fault_stats.dropped += 1
                     else:
-                        stats.corrupted += 1
-                    fifo.push(arrival)
-                if tracer is not None:
-                    tracer.grb_transfer(
-                        now_ps, sender, receiver.core_id, seq,
-                        len(fifo.arrivals), fate=flag,
-                    )
+                        self.fault_stats.corrupted += 1
+            fifo.arrivals.append(pushed)
+            # a new head, or a FIFO past the lagging distance, can make
+            # the receiver's drain due earlier
+            if len(fifo.arrivals) > max_lag:
+                receiver.drain_due_ps = 0
+            elif pushed < receiver.drain_due_ps:
+                receiver.drain_due_ps = pushed
+            if tracer is not None:
+                tracer.grb_transfer(
+                    now_ps, sender, receiver.core_id, seq,
+                    len(fifo.arrivals), fate=flag,
+                )
         # Emergent-leadership bookkeeping (diagnostics only).
         if core is not self._leader and core.commit_count > self._leader.commit_count:
             prev = self._leader
@@ -535,6 +535,14 @@ class ContestingSystem:
         )
         if target <= core.commit_count:
             return
+        self._refork(core, target)
+        if self.tracer is not None:
+            self.tracer.resync(core.time_ps, core.core_id, target)
+
+    def _refork(self, core: Core, target: int) -> None:
+        """Re-fork ``core`` at ``target`` and realign its incoming FIFOs
+        (not the other cores' FIFOs from it: a known defect, see
+        docs/contesting.md's GRB section)."""
         core.resync(target, penalty_cycles=self.resync_penalty_cycles)
         for fifo in self.fifos[core.core_id]:
             fifo.arrivals.clear()
@@ -546,8 +554,6 @@ class ContestingSystem:
         self._write_merged_to_shared()
         self._over_since[core.core_id] = None
         self.resyncs += 1
-        if self.tracer is not None:
-            self.tracer.resync(core.time_ps, core.core_id, target)
 
     # ------------------------------------------------------------------
     # fault orchestration (every path below requires an installed plan)
@@ -625,17 +631,7 @@ class ContestingSystem:
         target = max(
             (c.commit_count for c in self._active), default=core.commit_count
         )
-        core.resync(target, penalty_cycles=self.resync_penalty_cycles)
-        for fifo in self.fifos[core.core_id]:
-            fifo.arrivals.clear()
-            if fifo.next_seq < target:
-                fifo.next_seq = target
-        self.store_queue.set_progress(
-            core.core_id, self._store_prefix[target]
-        )
-        self._write_merged_to_shared()
-        self._over_since[core.core_id] = None
-        self.resyncs += 1
+        self._refork(core, target)
         self.fault_stats.recoveries += 1
         if self.tracer is not None:
             self.tracer.fault(

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional
 
-from repro.isa.instructions import Instr, OpClass, PRODUCING_OPS
+from repro.isa.instructions import Instr, OpClass
 from repro.isa.phases import PhaseMix, PhaseType
 from repro.isa.trace import Trace
 from repro.util.rng import Random, substream
@@ -65,7 +65,9 @@ class TraceChunk:
 
 
 class _PhaseRuntime:
-    """Mutable per-phase state that persists across re-entries of a phase."""
+    """Mutable per-phase state that persists across re-entries of a phase,
+    plus the phase's parameters flattened into plain numbers for the
+    per-instruction loop."""
 
     __slots__ = (
         "phase",
@@ -77,6 +79,7 @@ class _PhaseRuntime:
         "next_branch",
         "obj_base",
         "obj_pos",
+        "params",
     )
 
     def __init__(
@@ -99,11 +102,52 @@ class _PhaseRuntime:
             for _ in range(phase.n_static_branches)
         ]
         self.next_branch = 0
+        # Cumulative op-mix thresholds, summed left to right exactly as the
+        # comparisons ``r < load + store + ...`` would sum them.
+        t_load = phase.load_frac
+        t_store = t_load + phase.store_frac
+        t_branch = t_store + phase.branch_frac
+        t_imul = t_branch + phase.imul_frac
+        t_idiv = t_imul + phase.idiv_frac
+        obj_bytes = phase.obj_words * 8
+        self.params = (
+            t_load, t_store, t_branch, t_imul, t_idiv,
+            phase.syscall_rate,
+            phase.dep1_frac,
+            phase.dep1_frac * phase.branch_dep_scale,
+            phase.chain_frac,
+            phase.dep_window,
+            phase.two_src_frac,
+            phase.pointer_chase,
+            phase.n_static_branches,
+            phase.body_size,
+            phase.branch_bias,
+            phase.seq_frac,
+            phase.stride,
+            phase.footprint,
+            phase.obj_words,
+            obj_bytes,
+            # 0 for obj_words=0: a skewed access then fails as it always has
+            max(1, phase.footprint // obj_bytes) if obj_bytes else 0,
+            phase.zipf_skew,
+            # branch j's direction slot: (pc // 4 - body_size) % n for
+            # pc = pc_base + 4 * (body_size + j)
+            self.pc_base // 4,
+        )
 
 
 def _sample_dwell(rng: Random, mean: int) -> int:
     """Geometric-ish dwell with the configured mean, never below 8."""
     return max(8, int(rng.expovariate(1.0 / mean)))
+
+
+_IALU = int(OpClass.IALU)
+_IMUL = int(OpClass.IMUL)
+_IDIV = int(OpClass.IDIV)
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_BRANCH = int(OpClass.BRANCH)
+_SYSCALL = int(OpClass.SYSCALL)
 
 
 def generate_chunks(
@@ -119,12 +163,18 @@ def generate_chunks(
     strictly per-instruction and independent of ``chunk_size``, so the
     concatenated chunks are bit-identical to :func:`generate_trace` for
     any chunking — the invariant the corpus parity suite pins.
+
+    The per-instruction loop keeps the current phase's parameters and
+    mutable position in locals; they are written back to the phase's
+    :class:`_PhaseRuntime` only when the phase changes.
     """
     if length <= 0:
         raise ValueError("trace length must be positive")
     if chunk_size <= 0:
         raise ValueError("chunk size must be positive")
     rng = substream(seed, "trace", mix.name)
+    random = rng.random
+    randrange = rng.randrange
 
     region_names = []
     region_ids = []
@@ -158,90 +208,98 @@ def generate_chunks(
     producers: Deque[int] = deque(maxlen=64)
     last_load_seq = -1
 
-    current = pick_phase(-1)
-    dwell = _sample_dwell(rng, runtimes[current].phase.mean_dwell)
+    ops = chunk.ops
+    pcs = chunk.pcs
+    deps1 = chunk.deps1
+    deps2 = chunk.deps2
+    addrs = chunk.addrs
+    takens = chunk.takens
+
+    current = -1  # no phase entered yet: the loop enters ``chosen`` first
+    chosen = pick_phase(-1)
+    dwell = _sample_dwell(rng, runtimes[chosen].phase.mean_dwell)
+    state = runtimes[chosen]
+    body_pos = next_branch = stream_off = obj_base = obj_pos = 0
 
     for seq in range(length):
         if dwell <= 0:
             chosen = pick_phase(current)
             dwell = _sample_dwell(rng, runtimes[chosen].phase.mean_dwell)
-            if chosen != current:
-                current = chosen
+        if chosen != current:
+            if current >= 0:
                 chunk.phase_starts.append(seq)
+                state.body_pos = body_pos
+                state.next_branch = next_branch
+                state.stream_off = stream_off
+                state.obj_base = obj_base
+                state.obj_pos = obj_pos
+            current = chosen
+            state = runtimes[current]
+            (t_load, t_store, t_branch, t_imul, t_idiv, syscall_rate,
+             dep1_frac, branch_dep1_frac, chain_frac, dep_window,
+             two_src_frac, pointer_chase, n_branches, body_size,
+             branch_bias, seq_frac, stride, footprint, obj_words,
+             obj_bytes, objects, zipf_skew, dir_base) = state.params
+            pc_base = state.pc_base
+            data_base = state.data_base
+            branch_dirs = state.branch_dirs
+            body_pos = state.body_pos
+            next_branch = state.next_branch
+            stream_off = state.stream_off
+            obj_base = state.obj_base
+            obj_pos = state.obj_pos
         dwell -= 1
 
-        state = runtimes[current]
-        phase = state.phase
-
         # --- choose the op class from the phase mix
-        r = rng.random()
-        if phase.syscall_rate and rng.random() < phase.syscall_rate:
-            op = OpClass.SYSCALL
-        elif r < phase.load_frac:
-            op = OpClass.LOAD
-        elif r < phase.load_frac + phase.store_frac:
-            op = OpClass.STORE
-        elif r < phase.load_frac + phase.store_frac + phase.branch_frac:
-            op = OpClass.BRANCH
-        elif r < (
-            phase.load_frac
-            + phase.store_frac
-            + phase.branch_frac
-            + phase.imul_frac
-        ):
-            op = OpClass.IMUL
-        elif r < (
-            phase.load_frac
-            + phase.store_frac
-            + phase.branch_frac
-            + phase.imul_frac
-            + phase.idiv_frac
-        ):
-            op = OpClass.IDIV
+        r = random()
+        if syscall_rate and random() < syscall_rate:
+            op = _SYSCALL
+        elif r < t_load:
+            op = _LOAD
+        elif r < t_store:
+            op = _STORE
+        elif r < t_branch:
+            op = _BRANCH
+        elif r < t_imul:
+            op = _IMUL
+        elif r < t_idiv:
+            op = _IDIV
         else:
-            op = OpClass.IALU
+            op = _IALU
 
         # --- program counter
-        if op == OpClass.BRANCH:
-            j = state.next_branch
-            state.next_branch = (j + 1) % phase.n_static_branches
-            pc = state.pc_base + 4 * (phase.body_size + j)
+        if op == _BRANCH:
+            j = next_branch
+            next_branch = (j + 1) % n_branches
+            pc = pc_base + 4 * (body_size + j)
         else:
-            pc = state.pc_base + 4 * state.body_pos
-            state.body_pos = (state.body_pos + 1) % phase.body_size
+            pc = pc_base + 4 * body_pos
+            body_pos = (body_pos + 1) % body_size
 
-        # --- register dependences
+        # --- register dependences (no generated op is a NOP)
         dep1 = -1
         dep2 = -1
-        if op != OpClass.NOP:
-            dep1_prob = phase.dep1_frac
-            if op == OpClass.BRANCH:
-                # conditions are usually computed shortly before the branch
-                dep1_prob *= phase.branch_dep_scale
-            if (
-                op == OpClass.LOAD
-                and phase.pointer_chase
-                and last_load_seq >= 0
-            ):
-                dep1 = last_load_seq
-            elif producers and rng.random() < dep1_prob:
-                if rng.random() < phase.chain_frac:
-                    dep1 = producers[-1]
-                else:
-                    window = min(phase.dep_window, len(producers))
-                    dep1 = producers[-1 - rng.randrange(window)]
-            if producers and rng.random() < phase.two_src_frac:
-                window = min(phase.dep_window, len(producers))
-                dep2 = producers[-1 - rng.randrange(window)]
+        if op == _LOAD and pointer_chase and last_load_seq >= 0:
+            dep1 = last_load_seq
+        elif producers and random() < (
+            branch_dep1_frac if op == _BRANCH else dep1_frac
+        ):
+            # conditions are usually computed shortly before the branch
+            if random() < chain_frac:
+                dep1 = producers[-1]
+            else:
+                window = min(dep_window, len(producers))
+                dep1 = producers[-1 - randrange(window)]
+        if producers and random() < two_src_frac:
+            window = min(dep_window, len(producers))
+            dep2 = producers[-1 - randrange(window)]
 
         # --- memory address
         addr = 0
-        if op == OpClass.LOAD or op == OpClass.STORE:
-            if rng.random() < phase.seq_frac:
-                state.stream_off = (
-                    state.stream_off + phase.stride
-                ) % phase.footprint
-                offset = state.stream_off
+        if op == _LOAD or op == _STORE:
+            if random() < seq_frac:
+                stream_off = (stream_off + stride) % footprint
+                offset = stream_off
             else:
                 # Skewed-random *object* within the footprint, walked
                 # densely word by word: temporal locality falls off with
@@ -249,45 +307,43 @@ def generate_chunks(
                 # larger share.  Ranks are scattered over the address space
                 # with a multiplicative hash so the hot set spreads across
                 # all cache sets instead of packing into the low ones.
-                if state.obj_pos >= phase.obj_words:
-                    obj_bytes = phase.obj_words * 8
-                    objects = max(1, phase.footprint // obj_bytes)
-                    rank = int(objects * (rng.random() ** phase.zipf_skew))
-                    state.obj_base = ((rank * 2654435761) % objects) * obj_bytes
-                    state.obj_pos = 0
-                offset = state.obj_base + state.obj_pos * 8
-                state.obj_pos += 1
-            addr = state.data_base + offset
+                if obj_pos >= obj_words:
+                    rank = int(objects * (random() ** zipf_skew))
+                    obj_base = ((rank * 2654435761) % objects) * obj_bytes
+                    obj_pos = 0
+                offset = obj_base + obj_pos * 8
+                obj_pos += 1
+            addr = data_base + offset
 
         # --- branch outcome
         taken = False
-        if op == OpClass.BRANCH:
-            direction = state.branch_dirs[
-                (pc // 4 - phase.body_size) % phase.n_static_branches
-            ]
-            taken = (
-                direction
-                if rng.random() < phase.branch_bias
-                else not direction
-            )
+        if op == _BRANCH:
+            direction = branch_dirs[(dir_base + j) % n_branches]
+            taken = direction if random() < branch_bias else not direction
 
-        chunk.ops.append(int(op))
-        chunk.pcs.append(pc)
-        chunk.deps1.append(dep1)
-        chunk.deps2.append(dep2)
-        chunk.addrs.append(addr)
-        chunk.takens.append(taken)
+        ops.append(op)
+        pcs.append(pc)
+        deps1.append(dep1)
+        deps2.append(dep2)
+        addrs.append(addr)
+        takens.append(taken)
 
-        if op in PRODUCING_OPS:
+        if op <= _LOAD:  # IALU, IMUL, IDIV and LOAD produce a register
             producers.append(seq)
-            if op == OpClass.LOAD:
+            if op == _LOAD:
                 last_load_seq = seq
 
-        if len(chunk.ops) >= chunk_size:
+        if len(ops) >= chunk_size:
             yield chunk
             chunk = TraceChunk(start=seq + 1)
+            ops = chunk.ops
+            pcs = chunk.pcs
+            deps1 = chunk.deps1
+            deps2 = chunk.deps2
+            addrs = chunk.addrs
+            takens = chunk.takens
 
-    if chunk.ops:
+    if ops:
         yield chunk
 
 

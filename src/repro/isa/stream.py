@@ -26,7 +26,7 @@ fingerprint (``tests/corpus/test_grammar.py``), so it deliberately stays
 out of every cache identity.
 """
 
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Dict, Generic, Iterator, List, Optional, TypeVar
 
 from repro.isa.generator import DEFAULT_CHUNK_SIZE, TraceChunk, generate_chunks
 from repro.isa.instructions import Instr
@@ -38,6 +38,8 @@ from repro.isa.trace import Trace, TraceHasher
 #: past any core's in-flight window (ROB + fetch queue) — while bounding
 #: memory at a few chunks of columns.
 _KEEP_CHUNKS = 8
+
+T = TypeVar("T")
 
 
 class _ChunkWindow:
@@ -57,6 +59,9 @@ class _ChunkWindow:
         self._chunks: Dict[int, TraceChunk] = {}
         self._iter: Optional[Iterator[TraceChunk]] = None
         self._produced = 0  # chunks consumed from the current pass
+        #: columns reading through this window; each keeps its last chunk
+        #: and must forget it when that chunk leaves the window
+        self.columns: List["_Column[Any]"] = []
 
     def chunk(self, index: int) -> TraceChunk:
         """The chunk containing absolute instruction ``index``."""
@@ -68,6 +73,11 @@ class _ChunkWindow:
             self._iter = self._trace.chunks()
             self._produced = 0
             self._chunks.clear()
+        # Whatever a column holds may be evicted below: every column goes
+        # back to the window on its next read, so a read the window would
+        # not serve from a resident chunk is never served from a column.
+        for column in self.columns:
+            column.forget()
         while True:
             chunk = next(self._iter)
             self._chunks[self._produced] = chunk
@@ -77,61 +87,54 @@ class _ChunkWindow:
                 return chunk
 
 
-class _IntColumn:
-    """One windowed integer column of a streaming trace (a
-    :class:`repro.isa.trace.Column`)."""
+class _Column(Generic[T]):
+    """One windowed column of a streaming trace (a
+    :class:`repro.isa.trace.Column`).
 
-    __slots__ = ("_window", "_field", "_length")
+    A read inside the column's last chunk costs one range check; any other
+    read (another chunk, a negative index, out of range) goes through the
+    window, which may generate forward or restart.
+    """
+
+    __slots__ = ("_window", "_field", "_length", "_lo", "_hi", "_values")
 
     def __init__(self, window: _ChunkWindow, field: str, length: int) -> None:
         self._window = window
         self._field = field
         self._length = length
+        # [_lo, _hi) are the absolute indices _values holds; empty at first
+        self._lo = 0
+        self._hi = 0
+        self._values: List[T] = []
+        window.columns.append(self)
 
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, index: int) -> int:
+    def __getitem__(self, index: int) -> T:
+        lo = self._lo
+        if lo <= index < self._hi:
+            return self._values[index - lo]
         if index < 0:
             index += self._length
         if not 0 <= index < self._length:
             raise IndexError(index)
         chunk = self._window.chunk(index)
-        value: int = getattr(chunk, self._field)[index - chunk.start]
-        return value
+        values: List[T] = getattr(chunk, self._field)
+        self._lo = lo = chunk.start
+        self._hi = lo + len(values)
+        self._values = values
+        return values[index - lo]
 
-    def __iter__(self) -> Iterator[int]:
+    def forget(self) -> None:
+        """Drop the last chunk (the window is about to evict it)."""
+        self._hi = 0
+
+    def __iter__(self) -> Iterator[T]:
         size = self._window.chunk_size
         for start in range(0, self._length, size):
-            column: List[int] = getattr(self._window.chunk(start), self._field)
+            column: List[T] = getattr(self._window.chunk(start), self._field)
             yield from column
-
-
-class _BoolColumn:
-    """The windowed branch-outcome column of a streaming trace."""
-
-    __slots__ = ("_window", "_length")
-
-    def __init__(self, window: _ChunkWindow, length: int) -> None:
-        self._window = window
-        self._length = length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index: int) -> bool:
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError(index)
-        chunk = self._window.chunk(index)
-        value: bool = chunk.takens[index - chunk.start]
-        return value
-
-    def __iter__(self) -> Iterator[bool]:
-        size = self._window.chunk_size
-        for start in range(0, self._length, size):
-            yield from self._window.chunk(start).takens
 
 
 class StreamingDecoded:
@@ -148,12 +151,12 @@ class StreamingDecoded:
     def __init__(self, trace: "StreamingTrace") -> None:
         window = _ChunkWindow(trace)
         n = len(trace)
-        self.ops = _IntColumn(window, "ops", n)
-        self.pcs = _IntColumn(window, "pcs", n)
-        self.deps1 = _IntColumn(window, "deps1", n)
-        self.deps2 = _IntColumn(window, "deps2", n)
-        self.addrs = _IntColumn(window, "addrs", n)
-        self.takens = _BoolColumn(window, n)
+        self.ops: _Column[int] = _Column(window, "ops", n)
+        self.pcs: _Column[int] = _Column(window, "pcs", n)
+        self.deps1: _Column[int] = _Column(window, "deps1", n)
+        self.deps2: _Column[int] = _Column(window, "deps2", n)
+        self.addrs: _Column[int] = _Column(window, "addrs", n)
+        self.takens: _Column[bool] = _Column(window, "takens", n)
 
 
 class StreamingTrace:

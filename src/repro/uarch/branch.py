@@ -23,8 +23,9 @@ class BimodalPredictor:
         """Predicted direction for the branch at ``pc``."""
         return self._table[(pc >> 2) & self._mask] >= 2
 
-    def update(self, pc: int, taken: bool) -> None:
-        """Train on the branch's actual outcome."""
+    def update(self, pc: int, taken: bool) -> bool:
+        """Train on the branch's actual outcome; returns whether the
+        prediction made before training was right."""
         index = (pc >> 2) & self._mask
         counter = self._table[index]
         if taken:
@@ -32,6 +33,7 @@ class BimodalPredictor:
                 self._table[index] = counter + 1
         elif counter > 0:
             self._table[index] = counter - 1
+        return (counter >= 2) == taken
 
 
 class GsharePredictor:
@@ -54,16 +56,19 @@ class GsharePredictor:
         """Predicted direction for the branch at ``pc``."""
         return self._table[self._index(pc)] >= 2
 
-    def update(self, pc: int, taken: bool) -> None:
-        """Train counters and shift the branch outcome into the history."""
-        index = self._index(pc)
+    def update(self, pc: int, taken: bool) -> bool:
+        """Train counters and shift the branch outcome into the history;
+        returns whether the prediction made before training was right."""
+        history = self._history
+        index = ((pc >> 2) ^ history) & self._mask
         counter = self._table[index]
         if taken:
             if counter < 3:
                 self._table[index] = counter + 1
         elif counter > 0:
             self._table[index] = counter - 1
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
+        self._history = ((history << 1) | int(taken)) & self._history_mask
+        return (counter >= 2) == taken
 
 
 class HybridPredictor:
@@ -85,11 +90,15 @@ class HybridPredictor:
             return self.gshare.predict(pc)
         return self.bimodal.predict(pc)
 
-    def update(self, pc: int, taken: bool) -> None:
-        """Train both components and the chooser."""
-        bimodal_correct = self.bimodal.predict(pc) == taken
-        gshare_correct = self.gshare.predict(pc) == taken
+    def update(self, pc: int, taken: bool) -> bool:
+        """Train both components and the chooser; returns whether the
+        prediction made before training was right."""
+        # the components train independent tables, so each one's answer
+        # before training is unaffected by the other's training
+        bimodal_correct = self.bimodal.update(pc, taken)
+        gshare_correct = self.gshare.update(pc, taken)
         index = (pc >> 2) & self._mask
+        chose_gshare = self._chooser[index] >= 2
         if gshare_correct != bimodal_correct:
             counter = self._chooser[index]
             if gshare_correct:
@@ -97,8 +106,7 @@ class HybridPredictor:
                     self._chooser[index] = counter + 1
             elif counter > 0:
                 self._chooser[index] = counter - 1
-        self.bimodal.update(pc, taken)
-        self.gshare.update(pc, taken)
+        return gshare_correct if chose_gshare else bimodal_correct
 
 
 PREDICTORS: Dict[str, Type[Predictor]] = {

@@ -9,7 +9,7 @@ paper's analysis depends on.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,20 @@ class Cache:
 
     Tag state only — this is a timing model, no data is stored.  Each set is
     a list ordered most-recently-used first; associativities in the palette
-    are small enough that list operations are the fast path.
+    are small enough that list operations are the fast path.  Sets are
+    allocated on their first allocating miss: a short trace touches a small
+    fraction of a 32K-set L1, and an untouched set behaves exactly like an
+    empty one.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self._block_bits = config.block.bit_length() - 1
         self._set_mask = config.sets - 1
-        self._sets: List[List[int]] = [[] for _ in range(config.sets)]
+        self._tag_shift = self._set_mask.bit_length()
+        self._assoc = config.assoc
+        #: set index -> tags, most recently used first (allocated lazily)
+        self._sets: Dict[int, List[int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -56,8 +62,13 @@ class Cache:
         default (both reads and writes allocate, as in sim-mase)."""
         block_addr = addr >> self._block_bits
         index = block_addr & self._set_mask
-        tag = block_addr >> (self._set_mask.bit_length())
-        entries = self._sets[index]
+        tag = block_addr >> self._tag_shift
+        entries = self._sets.get(index)
+        if entries is None:
+            self.misses += 1
+            if allocate:
+                self._sets[index] = [tag]
+            return False
         if tag in entries:
             self.hits += 1
             if entries[0] != tag:
@@ -67,16 +78,15 @@ class Cache:
         self.misses += 1
         if allocate:
             entries.insert(0, tag)
-            if len(entries) > self.config.assoc:
+            if len(entries) > self._assoc:
                 entries.pop()
         return False
 
     def contains(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update, no statistics)."""
         block_addr = addr >> self._block_bits
-        index = block_addr & self._set_mask
-        tag = block_addr >> (self._set_mask.bit_length())
-        return tag in self._sets[index]
+        entries = self._sets.get(block_addr & self._set_mask)
+        return entries is not None and (block_addr >> self._tag_shift) in entries
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters (contents are kept)."""

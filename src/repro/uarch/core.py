@@ -16,8 +16,9 @@ Section 4.1.2 are preserved verbatim.
 Contesting hooks: a ``contest`` adapter (duck-typed; implemented by
 :class:`repro.core.system.ContestingSystem`) is consulted
 
-* once per cycle to drain late results and fire the Figure-5 early
-  branch-resolution corner case (``drain``),
+* at the start of a cycle to drain late results and fire the Figure-5
+  early branch-resolution corner case (``drain``; skipped while the
+  cycle's time is before ``drain_due_ps``, which the adapter maintains),
 * at fetch to pop a matching result for injection (``pop_for_fetch``),
 * at store commit for the synchronizing store queue
   (``store_commit_ok`` / ``store_performed``),
@@ -159,6 +160,10 @@ class Core:
         self.core_id = core_id
         self.contest = contest
         self.contesting_enabled = contest is not None
+        #: earliest time (ps) at which the contest's ``drain`` could act;
+        #: the contest adapter maintains it and ``step`` skips the call
+        #: before then
+        self.drain_due_ps = 0
         self.halted = False
         self.tracer = tracer
         # live per-op retired counts owned by the tracer; the commit loop
@@ -465,7 +470,7 @@ class Core:
             raise RuntimeError("cannot step a halted core")
         cycle = self.cycle
         contest = self.contest if self.contesting_enabled else None
-        if contest is not None:
+        if contest is not None and self.time_ps >= self.drain_due_ps:
             contest.drain(self, self.time_ps)
 
         if self._rob_head < len(self._rob) and self._commit_stall_until <= cycle:
@@ -716,14 +721,13 @@ class Core:
                 # only, so the speculative global history a real front end
                 # maintains (with repair on misprediction) is exactly the
                 # committed outcome history — training at fetch models it.
-                if self._perfect_predictor:
-                    prediction = taken
-                else:
-                    pc = self._pcs[seq]
-                    prediction = self.predictor.predict(pc)
-                    self.predictor.update(pc, taken)
+                # ``update`` reports whether the prediction was right.
+                mispredicted = not (
+                    self._perfect_predictor
+                    or self.predictor.update(self._pcs[seq], taken)
+                )
                 if not injected:
-                    if prediction != taken:
+                    if mispredicted:
                         rec.mispredicted = True
                         rec.resolved = False
                         self.stats.mispredicts += 1

@@ -112,6 +112,86 @@ def test_backward_access_restarts_generation():
     assert trace.restarts > before
 
 
+_FIELDS = ("ops", "pcs", "deps1", "deps2", "addrs", "takens")
+
+
+def _column_case(length=3000, chunk_size=64):
+    """A small-chunked stream and its materialised columns."""
+    from repro.isa.generator import generate_trace
+
+    mix = workload_profile("gcc")
+    trace = StreamingTrace(mix, length, seed=11, chunk_size=chunk_size)
+    want = generate_trace(mix, length, seed=11).decoded()
+    return trace, want
+
+
+class TestColumnFastPath:
+    """A column serves reads inside its last chunk after one range check;
+    every other read goes through the chunk window."""
+
+    def test_interleaved_forward_sweep_is_one_pass(self):
+        trace, want = _column_case()
+        decoded = trace.decoded()
+        for i in range(len(trace)):
+            for name in _FIELDS:
+                assert getattr(decoded, name)[i] == getattr(want, name)[i]
+        assert trace.restarts == 1
+
+    def test_windowed_reads_restart_exactly_as_through_the_window(self):
+        """A core-like pattern (a band of reads trailing a forward-moving
+        head, with occasional jumps back past the window) restarts
+        generation exactly as often as chunk-by-chunk window reads."""
+        from repro.isa.stream import _ChunkWindow
+        from repro.util.rng import substream
+
+        trace, want = _column_case(length=4000, chunk_size=32)
+        reference, _ = _column_case(length=4000, chunk_size=32)
+        window = _ChunkWindow(reference)
+        decoded = trace.decoded()
+        rng = substream(3, "column-reads")
+        head = 0
+        for step in range(6000):
+            head = min(head + rng.randrange(3), len(trace) - 1)
+            back = 2000 if step % 1500 == 1499 else rng.randrange(300)
+            index = max(0, head - back)
+            name = rng.choice(_FIELDS)
+            chunk = window.chunk(index)
+            expected = getattr(chunk, name)[index - chunk.start]
+            assert getattr(decoded, name)[index] == expected
+            assert expected == getattr(want, name)[index]
+        assert trace.restarts == reference.restarts > 1
+
+    def test_a_column_forgets_chunks_the_window_evicted(self):
+        trace, want = _column_case()
+        decoded = trace.decoded()
+        assert decoded.ops[1] == want.ops[1]  # ops now holds chunk 0
+        for i in range(len(trace)):
+            decoded.pcs[i]  # sweeps chunk 0 out of the window
+        before = trace.restarts
+        assert decoded.ops[2] == want.ops[2]
+        assert trace.restarts == before + 1
+
+    def test_negative_indices(self):
+        trace, want = _column_case()
+        decoded = trace.decoded()
+        n = len(trace)
+        for name in _FIELDS:
+            column = getattr(decoded, name)
+            assert column[-1] == getattr(want, name)[n - 1]
+            assert column[-n] == getattr(want, name)[0]
+
+    def test_out_of_range_raises_index_error(self):
+        trace, _ = _column_case()
+        decoded = trace.decoded()
+        n = len(trace)
+        decoded.ops[n - 1]  # the last chunk is the column's current one
+        for index in (n, n + 5, -n - 1):
+            with pytest.raises(IndexError):
+                decoded.ops[index]
+            with pytest.raises(IndexError):
+                decoded.takens[index]
+
+
 class TestEngineIntegration:
     def test_stream_flag_keys_the_cache_separately(self):
         base = TraceSpec("gcc", 2000)

@@ -130,6 +130,20 @@ class TestMemoryBehaviour:
         # three of every four accesses continue the 4-word object
         assert within / len(addrs) > 0.5
 
+    def test_zero_object_words_without_skewed_accesses(self):
+        # obj_words only matters to skewed-random accesses: a pure stream
+        # with obj_words=0 generates, and the first skewed access fails
+        stream = PhaseType(
+            "s", load_frac=0.5, seq_frac=1.0, obj_words=0, mean_dwell=10**9
+        )
+        trace = generate_trace(_mix((stream, 1.0)), 500, seed=9)
+        assert sum(1 for i in trace if i.is_mem) > 0
+        skewed = PhaseType(
+            "k", load_frac=0.5, seq_frac=0.0, obj_words=0, mean_dwell=10**9
+        )
+        with pytest.raises(ZeroDivisionError):
+            generate_trace(_mix((skewed, 1.0)), 500, seed=9)
+
 
 class TestBranches:
     def test_bias_reflected_in_outcomes(self):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.uarch.cache import Cache, CacheConfig, CacheHierarchy
+from repro.uarch.config import APPENDIX_A_CORES
 
 
 def _cfg(assoc=2, block=64, sets=4, latency=2):
@@ -107,6 +108,99 @@ class TestCache:
         c = Cache(_cfg())
         c.lookup(addr)
         assert c.contains(addr)
+
+
+#: every distinct L1 and L2 geometry of the Appendix-A cores
+APPENDIX_A_GEOMETRIES = sorted(
+    {c.l1 for c in APPENDIX_A_CORES.values()}
+    | {c.l2 for c in APPENDIX_A_CORES.values()},
+    key=lambda g: (g.sets, g.assoc, g.block, g.latency),
+)
+
+
+class _NaiveLRU:
+    """Reference model: one list per set, built up front, true LRU."""
+
+    def __init__(self, config):
+        self.config = config
+        self.sets = [[] for _ in range(config.sets)]
+        self.hits = 0
+        self.misses = 0
+
+    def _where(self, addr):
+        block = addr // self.config.block
+        return self.sets[block % self.config.sets], block // self.config.sets
+
+    def lookup(self, addr, allocate=True):
+        entries, tag = self._where(addr)
+        if tag in entries:
+            self.hits += 1
+            entries.remove(tag)
+            entries.insert(0, tag)
+            return True
+        self.misses += 1
+        if allocate:
+            entries.insert(0, tag)
+            del entries[self.config.assoc:]
+        return False
+
+    def contains(self, addr):
+        entries, tag = self._where(addr)
+        return tag in entries
+
+
+# (operation, tag, set, byte offset): a few tags over a few sets, so that
+# sequences hit, miss and evict; the set is taken modulo the set count
+_ACCESSES = st.lists(
+    st.tuples(
+        st.sampled_from(["lookup", "lookup", "probe", "contains"]),
+        st.integers(0, 24),
+        st.sampled_from([0, 1, 5, 127, 4095, 32767]),
+        st.integers(0, 511),
+    ),
+    max_size=120,
+)
+
+
+class TestLazySets:
+    @pytest.mark.parametrize(
+        "geometry", APPENDIX_A_GEOMETRIES,
+        ids=lambda g: f"{g.assoc}x{g.block}Bx{g.sets}",
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(accesses=_ACCESSES)
+    def test_matches_a_naive_true_lru(self, geometry, accesses):
+        cache = Cache(geometry)
+        model = _NaiveLRU(geometry)
+        for op, tag, index, offset in accesses:
+            addr = (
+                (tag * geometry.sets + index % geometry.sets) * geometry.block
+                + offset % geometry.block
+            )
+            if op == "contains":
+                assert cache.contains(addr) == model.contains(addr)
+            else:
+                allocate = op == "lookup"
+                assert cache.lookup(addr, allocate) == model.lookup(
+                    addr, allocate
+                )
+        assert (cache.hits, cache.misses) == (model.hits, model.misses)
+        assert len(cache._sets) <= geometry.sets
+
+    def test_construction_allocates_no_set(self):
+        geometry = max(APPENDIX_A_GEOMETRIES, key=lambda g: g.sets)
+        assert geometry.sets == 32768
+        cache = Cache(geometry)
+        assert len(cache._sets) == 0
+
+    def test_only_allocating_misses_allocate_sets(self):
+        cache = Cache(_cfg(sets=32768))
+        cache.contains(0)
+        cache.lookup(0, allocate=False)
+        assert len(cache._sets) == 0
+        cache.lookup(0)
+        cache.lookup(64)
+        assert len(cache._sets) == 2
 
 
 class TestHierarchy:
